@@ -9,7 +9,7 @@ test:
 
 # CI smoke: tier-1 plus an explicit 2-worker parallel-scan correctness
 # check (the perf-marked equivalence gates, which include the sharded
-# pool vs serial candidate-set identity).
+# thread pool vs serial candidate-set identity).
 smoke: test
 	$(PYTHON) -m pytest -q -m perf tests/core/test_parallel.py tests/core/test_perf_smoke.py
 
@@ -62,9 +62,9 @@ perf:
 torture:
 	$(PYTHON) -m pytest -q -m torture
 
-# Parallel-scan gate: run the backend bench, then assert identical
-# candidate sets, the one-round-trip dispatch bound, and the >=2x
-# speedup floor (or an explicit skip reason on hosts without cores).
+# Parallel-scan gate: run the serial-vs-thread bench, then assert
+# identical candidate sets and the >=2x speedup floor (or an explicit
+# skip reason on hosts with fewer than 4 effective cores).
 bench-parallel:
 	cd benchmarks && $(PYTHON) bench_parallel_scan.py
 	$(PYTHON) benchmarks/check_regression.py --parallel BENCH_parallel_scan.json

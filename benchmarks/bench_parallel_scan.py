@@ -1,4 +1,4 @@
-"""Parallel filtering scan backends vs the serial fused kernel.
+"""Thread-pool filtering scan vs the serial fused kernel.
 
 Times the candidate-generation stage — the filtering scan over the
 whole segment-sketch database — once per backend on the same snapshot:
@@ -6,20 +6,16 @@ whole segment-sketch database — once per backend on the same snapshot:
 1. serial fused scan (``sketch_filter_many``: one ``hamming_many_to_many``
    pass + vectorized deterministic selection),
 2. the thread pool (``ThreadFilterPool``: zero-copy arena sharing,
-   GIL-releasing ``np.bitwise_count`` kernel),
-3. the process pool (``ParallelFilterPool``: shared-memory arena, one
-   fused request/reply round trip per worker per batch).
+   GIL-releasing ``np.bitwise_count`` kernel).
 
-Pools are sized from the scheduler affinity mask
+The pool is sized from the scheduler affinity mask
 (:func:`repro.core.available_cores`), not ``os.cpu_count()`` — a
 container pinned to 2 of 64 cores must not spin up 64 workers and
 oversubscribe itself into a slowdown.
 
-Correctness is asserted on every run: all backends must produce
-identical candidate sets (the deterministic smallest-row-wins tie rule
-makes the shard merge exact).  The dispatch accounting is asserted too:
-one batch through the process pool costs exactly ``num_workers``
-round trips (never more than the shard count), whatever the batch size.
+Correctness is asserted on every run: the pool must produce candidate
+sets identical to the serial scan (the deterministic smallest-row-wins
+tie rule makes the shard merge exact).
 
 The >= 2x speedup gate only arms on hosts with at least 4 *effective*
 cores and a database of at least 100k segments.  When it cannot arm,
@@ -42,15 +38,13 @@ import numpy as np
 from repro.core import (
     FilterParams,
     ObjectSignature,
-    ParallelFilterPool,
     SegmentStore,
     ThreadFilterPool,
     available_cores,
-    parallel_sketch_filter_many,
+    parallel_filter_candidates,
     sketch_filter_many,
 )
 from repro.core.parallel import hamming_kernel_releases_gil
-from repro.observability import metrics as _metrics
 
 from bench_common import QUICK, scaled, write_json, write_result
 
@@ -123,9 +117,10 @@ def test_parallel_scan():
     repeats = scaled(3, 3)
     effective_cores = available_cores()
     cpu_count = os.cpu_count() or 1
-    # Affinity-sized pools: enough workers to use every *available*
-    # core, never the raw cpu_count.  A floor of 2 keeps the
-    # correctness + dispatch assertions meaningful on 1-core hosts.
+    # Affinity-sized pool: enough workers to use every *available*
+    # core, never the raw cpu_count.  A floor of 2 keeps the sharded
+    # merge (and so the correctness assertion) meaningful on 1-core
+    # hosts.
     workers = max(2, effective_cores)
     params = FilterParams(
         num_query_segments=4, candidates_per_segment=64,
@@ -139,72 +134,45 @@ def test_parallel_scan():
         repeats,
     )
 
-    registry = _metrics.get_registry()
-    backends = {}
-    shards = None
-    trips_per_batch = None
-    for label, cls in (("thread", ThreadFilterPool),
-                       ("process", ParallelFilterPool)):
-        with cls(num_workers=workers) as pool:
-            started = time.perf_counter()
-            epoch, owners, skm = store.versioned_snapshot()
-            pool.load(owners, skm, epoch=epoch)
-            load_s = time.perf_counter() - started
-            trips_before = registry.value("parallel.dispatch_round_trips")
-            par_s, par_sets = _time_batches(
-                lambda: parallel_sketch_filter_many(
-                    queries, sketches, params, N_BITS, pool
-                ),
-                repeats,
-            )
-            trips = registry.value("parallel.dispatch_round_trips")
-            if label == "process":
-                shards = pool.n_shards
-                # 1 warm-up + `repeats` timed batches, one fused message
-                # per worker each — the one-round-trip dispatch claim.
-                trips_per_batch = (trips - trips_before) / (repeats + 1)
-                assert trips_per_batch == pool.num_workers, (
-                    f"batched dispatch regressed: {trips_per_batch} "
-                    f"round trips/batch with {pool.num_workers} workers"
-                )
-                assert trips_per_batch <= shards
-        assert par_sets == serial_sets, (
-            f"{label}: parallel scan changed candidate sets"
+    with ThreadFilterPool(num_workers=workers) as pool:
+        started = time.perf_counter()
+        epoch, owners, skm = store.versioned_snapshot()
+        pool.load(owners, skm, epoch=epoch)
+        load_s = time.perf_counter() - started
+        shards = pool.n_shards
+        par_s, (par_sets, _epoch) = _time_batches(
+            lambda: parallel_filter_candidates(
+                queries, sketches, params, N_BITS, pool
+            ),
+            repeats,
         )
-        backends[label] = {
-            "workers": workers,
-            "load_ms": load_s * 1e3,
-            "batch_ms": par_s * 1e3,
-            "speedup_vs_serial": serial_s / par_s,
-        }
-
-    best = max(r["speedup_vs_serial"] for r in backends.values())
+    assert par_sets == serial_sets, "thread pool changed candidate sets"
+    thread = {
+        "workers": workers,
+        "load_ms": load_s * 1e3,
+        "batch_ms": par_s * 1e3,
+        "speedup_vs_serial": serial_s / par_s,
+    }
+    best = thread["speedup_vs_serial"]
     reason = _skip_reason(effective_cores, num_segments)
     if QUICK and reason is None:
         reason = "quick mode (FERRET_BENCH_SCALE=quick): dataset too small"
     gate_armed = reason is None
 
     lines = [
-        "# Parallel filtering scan backends vs serial fused kernel",
+        "# Thread-pool filtering scan vs serial fused kernel",
         f"# {num_segments} segments, {N_BITS}-bit sketches, "
         f"{num_queries} queries x r=4 segments",
         f"# {effective_cores} effective cores (affinity) of "
-        f"{cpu_count} cpus; {workers}-worker pools; "
+        f"{cpu_count} cpus; {workers}-worker pool ({shards} shards); "
         f"bitwise_count kernel: "
         f"{'yes' if hamming_kernel_releases_gil() else 'no'}",
         "",
         f"serial fused scan      {serial_s * 1e3:10.2f} ms/batch",
-    ]
-    for label, r in backends.items():
-        lines.append(
-            f"{label + ' pool':<22} {r['batch_ms']:10.2f} ms/batch  "
-            f"({r['speedup_vs_serial']:.2f}x, load {r['load_ms']:.1f} ms)"
-        )
-    lines += [
+        f"thread pool            {par_s * 1e3:10.2f} ms/batch  "
+        f"({best:.2f}x, load {load_s * 1e3:.1f} ms)",
         "",
-        f"process dispatch: {trips_per_batch:.0f} round trips/batch "
-        f"({shards} shards)",
-        "candidate sets identical across all backends: yes",
+        "candidate sets identical to the serial scan: yes",
         f"{SPEEDUP_TARGET}x speedup gate: "
         + ("ARMED" if gate_armed else f"skipped — {reason}"),
     ]
@@ -220,8 +188,7 @@ def test_parallel_scan():
         "shards": shards,
         "bitwise_count_kernel": hamming_kernel_releases_gil(),
         "serial_ms_per_batch": serial_s * 1e3,
-        "backends": backends,
-        "dispatch_round_trips_per_batch": trips_per_batch,
+        "backends": {"thread": thread},
         "best_speedup": best,
         "identical_candidate_sets": True,
         "speedup_gate_armed": gate_armed,

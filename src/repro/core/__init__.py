@@ -54,18 +54,13 @@ from .filtering import (
 )
 from .lshindex import LSHIndex, LSHParams
 from .parallel import (
-    FilterPool,
     ParallelConfig,
-    ParallelFilterPool,
     ParallelScanError,
     QueryResultCache,
     ThreadFilterPool,
     available_cores,
     choose_backend,
-    make_pool,
     parallel_filter_candidates,
-    parallel_sketch_filter,
-    parallel_sketch_filter_many,
 )
 from .plugin import DataTypePlugin, get_plugin, list_plugins, register_plugin
 from .ranking import (
@@ -95,14 +90,12 @@ __all__ = [
     "EngineStats",
     "FeatureMeta",
     "FilterParams",
-    "FilterPool",
     "LSHIndex",
     "LSHIndexError",
     "LSHParams",
     "NonFiniteDistanceError",
     "ObjectSignature",
     "ParallelConfig",
-    "ParallelFilterPool",
     "ParallelScanError",
     "QueryResultCache",
     "RankParams",
@@ -135,13 +128,10 @@ __all__ = [
     "l2_distance",
     "list_plugins",
     "lp_distance",
-    "make_pool",
     "meta_from_dataset",
     "normalize_weights",
     "pack_bits",
     "parallel_filter_candidates",
-    "parallel_sketch_filter",
-    "parallel_sketch_filter_many",
     "pearson_distance",
     "rank_candidates",
     "rank_candidates_many",

@@ -45,13 +45,11 @@ from .lshindex import LSHIndex, LSHParams
 from .parallel import (
     BACKEND_GAUGE_VALUES,
     BACKENDS,
-    FilterPool,
     ParallelConfig,
-    ParallelFilterPool,
     ParallelScanError,
     QueryResultCache,
+    ThreadFilterPool,
     choose_backend,
-    make_pool,
     parallel_filter_candidates,
 )
 from .plugin import DataTypePlugin
@@ -96,18 +94,11 @@ _M_RANK_SOLVE_SECONDS = _metrics.histogram("rank.solve_seconds")
 _M_POOL_FALLBACKS = _metrics.counter("engine.pool_fallbacks")
 _M_CACHE_RACE_SKIPS = _metrics.counter("query_cache.stale_store_skips")
 _M_ERR_POOL_SCAN = _metrics.counter("errors_absorbed.engine.pool_scan")
-_M_ERR_POOL_CLOSE = _metrics.counter("errors_absorbed.engine.pool_close")
 _M_ERR_BATCH_ROLLBACK = _metrics.counter(
     "errors_absorbed.engine.batch_rollback"
 )
-# A worker process dying mid-batch is worth its own series on top of the
-# generic pool_scan absorption: crashes point at OOM kills / segfaults,
-# timeouts and protocol errors at overload or version skew.
-_M_ERR_WORKER_CRASH = _metrics.counter(
-    "errors_absorbed.parallel_worker_crash"
-)
 # Resolved scan backend of the most recent filtering batch
-# (0 = serial, 1 = thread, 2 = process; see BACKEND_GAUGE_VALUES).
+# (0 = serial, 1 = thread; see BACKEND_GAUGE_VALUES).
 _M_PARALLEL_BACKEND = _metrics.gauge("parallel.backend")
 
 
@@ -186,7 +177,7 @@ class SimilaritySearchEngine:
     parallel:
         Parallel filtering-scan knobs
         (:class:`~repro.core.parallel.ParallelConfig`).  The sharded
-        multi-process scan auto-enables once the store exceeds
+        thread-pool scan auto-enables once the store exceeds
         ``parallel.min_segments`` live segments on a multi-core host; it
         also carries the query-result cache capacity.  ``None`` means
         defaults (auto-enable at 50k segments, one worker per CPU).
@@ -230,7 +221,7 @@ class SimilaritySearchEngine:
         self._next_id = 0
         self._compactor: Optional[ArenaCompactor] = None
         self._parallel_cfg = parallel if parallel is not None else ParallelConfig()
-        self._pool: Optional[FilterPool] = None
+        self._pool: Optional[ThreadFilterPool] = None
         self._pool_broken = False
         self._filter_cache = QueryResultCache(self._parallel_cfg.cache_entries)
         # Per-engine tracing state: opt-in stage traces plus the always
@@ -457,24 +448,22 @@ class SimilaritySearchEngine:
     # ------------------------------------------------------------------
     # Parallel scan + result cache
     # ------------------------------------------------------------------
-    def _choose_backend(self, batch_rows: int = 1) -> str:
+    def _choose_backend(self) -> str:
         """Resolve the scan backend for the next filtering batch.
 
         Wraps :func:`~repro.core.parallel.choose_backend` (the ``auto``
-        cost model over arena rows, batch size, and available cores)
-        with the engine's own vetoes: a broken pool or a resolved worker
-        count of 1 always means serial, whatever the configured backend.
+        cost model over arena rows and available cores) with the
+        engine's own vetoes: a broken pool or a resolved worker count of
+        1 always means serial, whatever the configured backend.
         """
         cfg = self._parallel_cfg
         if self._pool_broken or cfg.effective_workers() < 2:
             return "serial"
-        return choose_backend(cfg, len(self._store), batch_rows)
+        return choose_backend(cfg, len(self._store))
 
-    def _ensure_pool(self, backend: str) -> FilterPool:
-        """Spin up the pool for ``backend`` / refresh it to the store's
-        current epoch.  A live pool of a different backend (the cost
-        model changed its mind, or the operator forced a backend) is
-        torn down and replaced.
+    def _ensure_pool(self) -> ThreadFilterPool:
+        """Spin up the thread pool / refresh it to the store's current
+        epoch.
 
         A stale pool is refreshed through the cheapest path that
         applies: the arena's :meth:`~SegmentStore.delta_since` journal
@@ -484,18 +473,10 @@ class SimilaritySearchEngine:
         snapshot reload (``parallel.arena_loads``).
         """
         cfg = self._parallel_cfg
-        if self._pool is not None and self._pool.backend != backend:
-            pool, self._pool = self._pool, None
-            try:
-                pool.close()
-            except OSError:
-                _M_ERR_POOL_CLOSE.inc()
         if self._pool is None:
-            self._pool = make_pool(
-                backend,
+            self._pool = ThreadFilterPool(
                 num_workers=cfg.effective_workers(),
                 shard_rows=cfg.shard_rows,
-                start_method=cfg.start_method,
                 response_timeout=cfg.response_timeout,
             )
         pool = self._pool
@@ -525,12 +506,7 @@ class SimilaritySearchEngine:
         _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES["serial"])
         pool, self._pool = self._pool, None
         if pool is not None:
-            try:
-                pool.close()
-            except OSError:
-                # Tearing down an already-broken pool may fail again at
-                # the OS level; the serial fallback must still proceed.
-                _M_ERR_POOL_CLOSE.inc()
+            pool.close()
         if self.on_parallel_fallback is not None:
             # Deliberately unguarded: the callback is wired by the
             # embedding process (the server's HealthState), and a broken
@@ -556,10 +532,10 @@ class SimilaritySearchEngine:
 
         Accepts any of :data:`~repro.core.parallel.BACKENDS` — ``auto``
         hands the choice back to the cost model, ``serial`` pins the
-        in-process scan, ``thread``/``process`` pin a pool
-        implementation.  Clears the broken flag (an operator override is
-        an explicit re-arm) and tears down any live pool so the next
-        scan rebuilds under the new policy.
+        in-process scan, ``thread`` pins the thread pool.  Clears the
+        broken flag (an operator override is an explicit re-arm) and
+        tears down any live pool so the next scan rebuilds under the new
+        policy.
         """
         if backend not in BACKENDS:
             raise ValueError(
@@ -633,25 +609,6 @@ class SimilaritySearchEngine:
             "cache": self._filter_cache.stats(),
         }
 
-    def collect_worker_metrics(self) -> int:
-        """Pull pending registry deltas from live scan workers into the
-        parent registry (``worker.<i>.*`` / ``workers.*`` series).
-
-        Scans piggyback their own deltas, so this only matters for
-        activity between scans; ``metrics``/``stat`` call it right
-        before rendering.  Returns workers polled (0 with no pool).  A
-        broken pool must not fail a metrics dump: pool errors abandon
-        the pool exactly like a failed scan would and report 0.
-        """
-        pool = self._pool
-        if pool is None:
-            return 0
-        try:
-            return pool.fetch_worker_metrics()
-        except ParallelScanError as exc:
-            self._abandon_pool(f"metrics pull failed: {exc}")
-            return 0
-
     def _query_cache_key(
         self, query: ObjectSignature, query_sketches: np.ndarray, params_key
     ):
@@ -676,7 +633,7 @@ class SimilaritySearchEngine:
         """Filtering-phase candidate sets for a batch of queries.
 
         Order of attack: the epoch-invalidated LRU cache, then the
-        sharded multi-process scan (when enabled and the store is big
+        sharded thread-pool scan (when enabled and the store is big
         enough), then the serial fused scan — which is also the graceful
         fallback when the pool fails mid-flight.  All paths return
         identical candidate sets, so the choice is invisible to callers.
@@ -709,16 +666,16 @@ class SimilaritySearchEngine:
         computed: Optional[List[Set[int]]] = None
         computed_epoch: Optional[object] = None
         scan_path = "serial"
-        backend = self._choose_backend(
-            batch_rows=len(miss_queries) * params.num_query_segments
-        )
-        _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES.get(backend, 0))
+        backend = self._choose_backend()
+        _M_PARALLEL_BACKEND.set(BACKEND_GAUGE_VALUES[backend])
         if backend != "serial":
             try:
-                pool = self._ensure_pool(backend)
-                computed_epoch = pool.loaded_epoch
+                pool = self._ensure_pool()
                 scan_started = time.perf_counter()
-                computed = parallel_filter_candidates(
+                # The epoch comes from the snapshot the pool actually
+                # scanned, so a reload racing this call cannot file the
+                # result under the wrong arena.
+                computed, computed_epoch = parallel_filter_candidates(
                     miss_queries, miss_sketches, params,
                     self.sketcher.n_bits, pool, trace=trace,
                 )
@@ -728,17 +685,11 @@ class SimilaritySearchEngine:
                     trace.add_stage(
                         "parallel_scan", time.perf_counter() - scan_started
                     )
-            except (ParallelScanError, OSError) as exc:
-                # Only pool-infrastructure failures (dead workers,
-                # timeouts, shared-memory exhaustion) may trigger the
-                # silent serial fallback; any other exception is a bug
-                # in the scan itself and propagates to the caller.
+            except ParallelScanError as exc:
+                # Only pool failures (timeout, closed pool) may trigger
+                # the silent serial fallback; any other exception is a
+                # bug in the scan itself and propagates to the caller.
                 _M_ERR_POOL_SCAN.inc()
-                if (
-                    isinstance(exc, ParallelScanError)
-                    and exc.kind == "crash"
-                ):
-                    _M_ERR_WORKER_CRASH.inc()
                 self._abandon_pool(f"{type(exc).__name__}: {exc}")
                 computed = None
                 scan_path = "parallel_fallback"

@@ -65,9 +65,9 @@ def constant_threshold_fn(weight: float) -> float:
 
 
 # Named threshold functions.  ``FilterParams`` defaults to a *name* so the
-# params travel across process boundaries (the parallel scan pool, the
-# wire protocol's setparam) without pickling code objects; custom
-# callables still work in-process but cannot be dispatched to workers.
+# params travel across process boundaries (the wire protocol's setparam,
+# cluster backends) without pickling code objects; custom callables
+# still work in-process but cannot leave it.
 _THRESHOLD_FNS: Dict[str, Callable[[float], float]] = {}
 
 
@@ -262,7 +262,7 @@ class SegmentStore:
         self._dead = 0
         # Mutation epoch: bumped on every logical change (insert, remove,
         # compact).  Consumers that hold derived state — the parallel
-        # scan pool's shared-memory shards, the query-result cache —
+        # scan pool's frozen arena, the query-result cache —
         # compare epochs to detect staleness instead of diffing arrays.
         self._epoch = 0
         # Delta journal.  ``_marks`` records (epoch, rows_after) per
@@ -395,7 +395,7 @@ class SegmentStore:
         """``(epoch, owners, sketches)`` taken under one lock acquisition.
 
         The epoch identifies exactly the returned arrays' logical
-        content, so derived state (shared-memory shards, cached results)
+        content, so derived state (pool arenas, cached results)
         built from this snapshot can later be staleness-checked against
         :attr:`epoch`.
         """

@@ -18,9 +18,15 @@ from typing import List, Optional, Set, Tuple
 
 import numpy as np
 
+from ..observability import metrics as _metrics
+
 __all__ = ["TransportResult", "solve_transport"]
 
 _MAX_PIVOTS_FACTOR = 50  # pivot cap: factor * (m + n), guards non-termination
+
+# Solves that stopped at the pivot cap while an improving pivot remained,
+# i.e. returned a feasible but not provably optimal flow.
+_M_PIVOT_CAP_HITS = _metrics.counter("transport.pivot_cap_hits")
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,13 @@ def solve_transport(
         cycle = _find_cycle(basis, entering, m, n)
         _pivot(flow, basis, cycle)
         iterations += 1
+    else:
+        # The loop ran out of pivots instead of proving optimality: one
+        # more pricing pass tells a capped suboptimal answer apart from
+        # one that reached the optimum on its last allowed pivot.
+        u, v = _compute_potentials(basis, costs, m, n)
+        if _find_entering(costs, u, v, basis, tolerance) is not None:
+            _M_PIVOT_CAP_HITS.inc()
 
     return TransportResult(flow, float((flow * costs).sum()), iterations)
 

@@ -283,7 +283,6 @@ class CommandProcessor:
         return float(gauge.value) if gauge is not None else 0.0
 
     def _cmd_stat(self, command: Command) -> List[str]:
-        self.engine.collect_worker_metrics()
         stats = self.engine.stats()
         par = self.engine.parallel_info()
         cache = par["cache"]
@@ -302,8 +301,6 @@ class CommandProcessor:
             f"parallel_backend {par['backend']}",
             f"parallel_backend_active {par['backend_active']}",
             f"parallel_workers {par['workers']}",
-            f"parallel_dispatch_round_trips "
-            f"{self._rank_counter('parallel.dispatch_round_trips')}",
             f"arena_chunks {arena['chunks']}",
             f"arena_rows {arena['rows']}",
             f"arena_dead_rows {arena['dead_rows']}",
@@ -332,9 +329,6 @@ class CommandProcessor:
         filtered to one name prefix, rendered in Prometheus text format
         (``-p``), or as one line of JSON snapshot (``-s`` — the
         federation wire format; see docs/OBSERVABILITY.md).
-
-        Pulls pending worker deltas first so the dump includes the
-        ``worker.<i>.*`` / ``workers.*`` series of the scan pool.
         """
         prometheus = False
         snapshot = False
@@ -350,7 +344,6 @@ class CommandProcessor:
                 raise ProtocolError("usage: metrics [-p|-s] [prefix]")
         if prometheus and snapshot:
             raise ProtocolError("usage: metrics [-p|-s] [prefix]")
-        self.engine.collect_worker_metrics()
         registry = _metrics.get_registry()
         if snapshot:
             state = registry.snapshot()

@@ -20,6 +20,7 @@ from repro.core import (
     DataTypePlugin,
     FeatureMeta,
     ObjectSignature,
+    ParallelConfig,
     SearchMethod,
     SimilaritySearchEngine,
     SketchParams,
@@ -103,6 +104,82 @@ class TestDeterministicInterleaving:
         engine.query(query, top_k=3)
         # The epoch bump flushed the cache — and the counter moved.
         assert _value("query_cache.invalidations") == before_inval + 1
+
+
+def _make_pool_engine(cache_entries, num_objects=40, seed=3):
+    """Engine whose filter scans always go through a 2-thread pool."""
+    meta = FeatureMeta(4, np.zeros(4), np.ones(4))
+    engine = SimilaritySearchEngine(
+        DataTypePlugin("t", meta),
+        SketchParams(64, meta, seed=0),
+        parallel=ParallelConfig(
+            num_workers=2, min_segments=1, backend="thread",
+            cache_entries=cache_entries,
+        ),
+    )
+    rng = np.random.default_rng(seed)
+    for _ in range(num_objects):
+        engine.insert(ObjectSignature(rng.random((2, 4)), [1.0, 1.0]))
+    return engine, rng
+
+
+def _shifted_arena(engine, shift=5000):
+    """The store's arena with every live owner id moved by ``shift``:
+    what a concurrent reload after a compaction may leave in the pool."""
+    epoch, owners, sketches = engine._store.versioned_snapshot()
+    return epoch, np.where(owners >= 0, owners + shift, owners), sketches
+
+
+class TestPoolSnapshotInterleaving:
+    """A full pool ``load`` racing a pool scan must not mix two arenas.
+
+    The scan's owner ids and its cache tag both have to come from the
+    one snapshot it scanned; the reload is fired from inside the scan
+    call so the interleaving is deterministic.
+    """
+
+    def test_reload_after_scan_keeps_scanned_owners(self, monkeypatch):
+        engine, rng = _make_pool_engine(cache_entries=0)
+        with engine:
+            query = _query_sig(rng)
+            qs = engine.sketcher.sketch_many(query.features)
+            expect = engine._filter_candidates([query], [qs])
+            pool = engine._pool
+            assert pool is not None
+            epoch, shifted, sketches = _shifted_arena(engine)
+            real_scan = pool.scan_topk
+
+            def scan_then_reload(*args, **kwargs):
+                result = real_scan(*args, **kwargs)
+                pool.load(shifted, sketches, epoch=epoch + 1)
+                return result
+
+            monkeypatch.setattr(pool, "scan_topk", scan_then_reload)
+            assert engine._filter_candidates([query], [qs]) == expect
+
+    def test_reload_before_scan_files_result_under_scanned_epoch(
+        self, monkeypatch
+    ):
+        engine, rng = _make_pool_engine(cache_entries=16)
+        with engine:
+            query = _query_sig(rng)
+            qs = engine.sketcher.sketch_many(query.features)
+            truth = engine._filter_candidates([query], [qs])
+            engine._filter_cache.clear()
+            pool = engine._pool
+            epoch, shifted, sketches = _shifted_arena(engine)
+            real_scan = pool.scan_topk
+
+            def reload_then_scan(*args, **kwargs):
+                pool.load(shifted, sketches, epoch=epoch + 1000)
+                return real_scan(*args, **kwargs)
+
+            monkeypatch.setattr(pool, "scan_topk", reload_then_scan)
+            engine._filter_candidates([query], [qs])
+            monkeypatch.setattr(pool, "scan_topk", real_scan)
+            # The racy answer came from a foreign arena; it must not be
+            # served for the store's own epoch.
+            assert engine._filter_candidates([query], [qs]) == truth
 
 
 @st.composite

@@ -1,12 +1,10 @@
-"""Churn equivalence: serial == thread == process, bit for bit.
+"""Churn equivalence: serial == thread, bit for bit.
 
-The delta-shipping pool refresh (PR: online index maintenance) must be
-invisible to queries: after any interleaving of insert / remove /
-compact, an engine whose pool was refreshed incrementally answers
-queries identically to a serial engine and to a pool loaded fresh from
-scratch.  Hypothesis drives the interleavings; fixed-seed tests cover
-the process backend (spawning real workers is too slow for example
-search).
+The delta-shipping pool refresh must be invisible to queries: after any
+interleaving of insert / remove / compact, an engine whose pool was
+refreshed incrementally answers queries identically to a serial engine
+and to a pool loaded fresh from scratch.  Hypothesis drives the
+interleavings.
 """
 
 from __future__ import annotations
@@ -149,40 +147,7 @@ class TestChurnInterleavings:
             engine.close()
 
 
-class TestProcessBackendChurn:
-    """Fixed-seed process-pool churn (worker spawn is too slow for
-    hypothesis search, but the Pipe-protocol delta path must be covered
-    end to end)."""
-
-    def test_process_matches_serial_under_churn(self):
-        serial = _make_engine("serial")
-        procs = _make_engine("process")
-        try:
-            engines = [serial, procs]
-            rng = np.random.default_rng(42)
-            next_id = 0
-            for _ in range(6):
-                next_id = _apply(engines, ("insert", 3), 42 + next_id, next_id)
-            probes = [_signature(rng, 3) for _ in range(2)]
-            script = [
-                ("insert", 2),
-                ("insert", 4),
-                ("remove", 1),
-                ("insert", 1),
-                ("compact", 0),
-                ("insert", 3),
-                ("remove", 0),
-                ("insert", 2),
-            ]
-            assert _results(serial, probes) == _results(procs, probes)
-            for i, op in enumerate(script):
-                next_id = _apply(engines, op, 7000 + i, next_id)
-                assert _results(serial, probes) == _results(procs, probes)
-            assert not procs.parallel_info()["broken"]
-        finally:
-            serial.close()
-            procs.close()
-
+class TestDeltaRefresh:
     def test_delta_loads_actually_happen(self):
         """The equivalence above must come from the delta path, not from
         silent full reloads."""

@@ -1,12 +1,12 @@
-"""Sharded parallel filtering scan: correctness, caching, fallback.
+"""Sharded thread-pool filtering scan: correctness, caching, fallback.
 
 The pool path must be *candidate-set identical* to both serial
 implementations (`sketch_filter_many` and the per-segment
 `sketch_filter_reference`) under every shard geometry — that is the
-acceptance gate for the shared-memory scan.  Determinism under ties is
-what makes that possible: every path selects the k smallest distances
-with smallest-row-index-wins at the kth value, so shard boundaries and
-merge order cannot change the result.
+acceptance gate for the parallel scan.  Determinism under ties is what
+makes that possible: every path selects the k smallest distances with
+smallest-row-index-wins at the kth value, so shard boundaries and merge
+order cannot change the result.
 """
 
 import numpy as np
@@ -19,16 +19,15 @@ from repro.core import (
     FilterParams,
     ObjectSignature,
     ParallelConfig,
-    ParallelFilterPool,
     ParallelScanError,
     QueryResultCache,
     SegmentStore,
     SimilaritySearchEngine,
     SketchConstructor,
     SketchParams,
+    ThreadFilterPool,
     get_threshold_fn,
-    parallel_sketch_filter,
-    parallel_sketch_filter_many,
+    parallel_filter_candidates,
     register_threshold_fn,
     sketch_filter,
     sketch_filter_many,
@@ -81,6 +80,19 @@ def _load_pool(pool, store):
     pool.load(owners, sketches, epoch=epoch)
 
 
+def _pool_filter_many(queries, sketches, params, n_bits, pool):
+    """Candidate sets of a batch through the pool (epoch checked too)."""
+    sets, epoch = parallel_filter_candidates(
+        queries, sketches, params, n_bits, pool
+    )
+    assert epoch == pool.loaded_epoch
+    return sets
+
+
+def _pool_filter(query, sketches, params, n_bits, pool):
+    return _pool_filter_many([query], [sketches], params, n_bits, pool)[0]
+
+
 PARAMS_VARIANTS = [
     FilterParams(num_query_segments=3, candidates_per_segment=8),
     FilterParams(num_query_segments=2, candidates_per_segment=4,
@@ -95,7 +107,7 @@ PARAMS_VARIANTS = [
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module", params=WORKER_COUNTS)
 def pool(request):
-    with ParallelFilterPool(num_workers=request.param) as p:
+    with ThreadFilterPool(num_workers=request.param) as p:
         yield p
 
 
@@ -113,11 +125,11 @@ def test_pool_matches_reference_randomized(seed, shard_rows, variant):
     sketches = [sk.sketch_many(q.features) for q in queries]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
     for workers in WORKER_COUNTS:
-        with ParallelFilterPool(
+        with ThreadFilterPool(
             num_workers=workers, shard_rows=shard_rows
         ) as p:
             _load_pool(p, store)
-            par = parallel_sketch_filter_many(
+            par = _pool_filter_many(
                 queries, sketches, params, sk.n_bits, p
             )
         assert par == serial
@@ -134,7 +146,7 @@ def test_pool_matches_reference_all_params(pool):
     _load_pool(pool, store)
     for params in PARAMS_VARIANTS:
         serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-        par = parallel_sketch_filter_many(
+        par = _pool_filter_many(
             queries, sketches, params, sk.n_bits, pool
         )
         assert par == serial
@@ -147,7 +159,7 @@ def test_pool_matches_reference_all_params(pool):
                 == expect
             )
             assert (
-                parallel_sketch_filter(q, qs, params, sk.n_bits, pool)
+                _pool_filter(q, qs, params, sk.n_bits, pool)
                 == expect
             )
 
@@ -178,7 +190,7 @@ def test_ties_exactly_at_distance_threshold(pool):
     assert sketch_filter_reference(query, qs, store, params, 64) == expect
     assert sketch_filter(query, qs, store, params, 64) == expect
     _load_pool(pool, store)
-    assert parallel_sketch_filter(query, qs, params, 64, pool) == expect
+    assert _pool_filter(query, qs, params, 64, pool) == expect
 
 
 def test_ties_at_kth_boundary_pick_smallest_rows(pool):
@@ -193,9 +205,9 @@ def test_ties_at_kth_boundary_pick_smallest_rows(pool):
     assert sketch_filter_reference(query, qs, store, params, 64) == expect
     assert sketch_filter(query, qs, store, params, 64) == expect
     for shard_rows in (None, 1, 2):
-        with ParallelFilterPool(num_workers=2, shard_rows=shard_rows) as p:
+        with ThreadFilterPool(num_workers=2, shard_rows=shard_rows) as p:
             _load_pool(p, store)
-            assert parallel_sketch_filter(query, qs, params, 64, p) == expect
+            assert _pool_filter(query, qs, params, 64, p) == expect
 
 
 def test_k_larger_than_shard_size(pool):
@@ -205,9 +217,9 @@ def test_k_larger_than_shard_size(pool):
     q = objects[0]
     qs = sk.sketch_many(q.features)
     expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=3, shard_rows=2) as p:
+    with ThreadFilterPool(num_workers=3, shard_rows=2) as p:
         _load_pool(p, store)
-        assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
+        assert _pool_filter(q, qs, params, sk.n_bits, p) == expect
 
 
 def test_empty_shards_more_workers_than_rows():
@@ -217,9 +229,9 @@ def test_empty_shards_more_workers_than_rows():
     q = objects[0]
     qs = sk.sketch_many(q.features)
     expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=3) as p:  # 2 rows, 3 workers
+    with ThreadFilterPool(num_workers=3) as p:  # 2 rows, 3 workers
         _load_pool(p, store)
-        assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
+        assert _pool_filter(q, qs, params, sk.n_bits, p) == expect
 
 
 def test_empty_store_and_all_tombstones(pool):
@@ -228,24 +240,13 @@ def test_empty_store_and_all_tombstones(pool):
     qs = np.array([[0]], dtype=np.uint64)
     empty = SegmentStore(n_words=1, dim=2)
     _load_pool(pool, empty)
-    assert parallel_sketch_filter(query, qs, params, 64, pool) == set()
+    assert _pool_filter(query, qs, params, 64, pool) == set()
     dead = _handmade_store([0b1, 0b10], owners_per_row=[1, 2])
     dead.remove_object(1)
     dead.remove_object(2)
     _load_pool(pool, dead)
-    assert parallel_sketch_filter(query, qs, params, 64, pool) == set()
+    assert _pool_filter(query, qs, params, 64, pool) == set()
     assert sketch_filter(query, qs, dead, params, 64) == set()
-
-
-def test_spawn_start_method():
-    sk, store, objects = _seeded_store(9, num_objects=10)
-    params = FilterParams(num_query_segments=2, candidates_per_segment=6)
-    q = objects[2]
-    qs = sk.sketch_many(q.features)
-    expect = sketch_filter_reference(q, qs, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=2, start_method="spawn") as p:
-        _load_pool(p, store)
-        assert parallel_sketch_filter(q, qs, params, sk.n_bits, p) == expect
 
 
 def test_pool_staleness_and_reload(pool):
@@ -263,7 +264,7 @@ def test_pool_staleness_and_reload(pool):
 
 
 def test_closed_pool_raises():
-    p = ParallelFilterPool(num_workers=1)
+    p = ThreadFilterPool(num_workers=1)
     p.close()
     with pytest.raises(ParallelScanError):
         p.scan_topk(np.zeros((1, 1), dtype=np.uint64), 1)
@@ -412,9 +413,9 @@ def test_two_worker_smoke():
     queries = [objects[i] for i in (0, 25, 75, 149)]
     sketches = [sk.sketch_many(q.features) for q in queries]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    with ParallelFilterPool(num_workers=2) as p:
+    with ThreadFilterPool(num_workers=2) as p:
         _load_pool(p, store)
         assert (
-            parallel_sketch_filter_many(queries, sketches, params, sk.n_bits, p)
+            _pool_filter_many(queries, sketches, params, sk.n_bits, p)
             == serial
         )

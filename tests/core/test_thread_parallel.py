@@ -1,11 +1,10 @@
-"""Thread backend, batched dispatch, and the adaptive backend chooser.
+"""Thread backend and the adaptive backend chooser.
 
-The contract under test: ``serial == threads == batched-processes`` —
-not just equal candidate sets but identical ``(distance, row)`` top-k
-matrices including tie order, under duplicate-sketch stores, tombstones,
-empty shards, and the spawn start method.  Plus the cost model
-(:func:`choose_backend`), the one-round-trip dispatch accounting, the
-worker-crash classification, and thread-pool teardown under load.
+The contract under test: ``serial == threads`` — not just equal
+candidate sets but identical ``(distance, row)`` top-k matrices
+including tie order, under duplicate-sketch stores, tombstones and empty
+shards.  Plus the cost model (:func:`choose_backend`), per-worker trace
+spans, and thread-pool teardown under load.
 """
 
 import threading
@@ -20,7 +19,6 @@ from repro.core import (
     FilterParams,
     ObjectSignature,
     ParallelConfig,
-    ParallelFilterPool,
     ParallelScanError,
     QueryResultCache,
     SegmentStore,
@@ -29,12 +27,14 @@ from repro.core import (
     SketchParams,
     ThreadFilterPool,
     choose_backend,
-    make_pool,
-    parallel_sketch_filter_many,
+    hamming_many_to_many,
+    parallel_filter_candidates,
+    select_k_smallest,
     sketch_filter_many,
 )
 from repro.core.parallel import hamming_kernel_releases_gil
 from repro.observability import metrics as _metrics
+from repro.observability.tracing import QueryTrace
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -74,6 +74,16 @@ def _value(name):
     return _metrics.get_registry().value(name)
 
 
+def _serial_topk(store, queries, k):
+    """Reference top-k over the whole snapshot: the serial scan's
+    masking and selection, without shards."""
+    _epoch, owners, sketches = store.versioned_snapshot()
+    dists = hamming_many_to_many(queries, sketches)
+    dists[:, owners < 0] = np.iinfo(np.uint32).max
+    sel = select_k_smallest(dists, min(k, int((owners >= 0).sum())))
+    return np.take_along_axis(dists, sel, axis=1), sel
+
+
 PARAMS_VARIANTS = [
     FilterParams(num_query_segments=3, candidates_per_segment=8),
     FilterParams(num_query_segments=2, candidates_per_segment=4,
@@ -84,7 +94,7 @@ PARAMS_VARIANTS = [
 
 
 # ----------------------------------------------------------------------
-# Property: serial == threads == batched-processes, ties included
+# Property: serial == threads, ties included
 # ----------------------------------------------------------------------
 @settings(max_examples=6, deadline=None)
 @given(
@@ -95,34 +105,30 @@ PARAMS_VARIANTS = [
 )
 def test_backends_equivalent_randomized(seed, shard_rows, variant, workers):
     """Candidate sets AND raw top-k matrices (tie order) agree between
-    the serial scan, the thread pool, and the batched process pool."""
+    the serial scan and the thread pool."""
     params = PARAMS_VARIANTS[variant]
     sk, store, objects = _seeded_store(seed, tombstones=range(5, 12))
     queries = [objects[0], objects[20], objects[7]]
     sketches = [sk.sketch_many(q.features) for q in queries]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    raw = {}
-    for cls in (ThreadFilterPool, ParallelFilterPool):
-        with cls(num_workers=workers, shard_rows=shard_rows) as p:
-            _load_pool(p, store)
-            got = parallel_sketch_filter_many(
-                queries, sketches, params, sk.n_bits, p
-            )
-            assert got == serial, cls.__name__
-            stacked = np.concatenate(
-                [qs[q.top_segments(params.num_query_segments)]
-                 for q, qs in zip(queries, sketches)],
-                axis=0,
-            )
-            d, rows = p.scan_topk(stacked, k=5)
-            raw[cls.__name__] = (np.asarray(d, dtype=np.int64), rows)
+    with ThreadFilterPool(num_workers=workers, shard_rows=shard_rows) as p:
+        _load_pool(p, store)
+        got, epoch = parallel_filter_candidates(
+            queries, sketches, params, sk.n_bits, p
+        )
+        assert got == serial
+        assert epoch == store.epoch
+        stacked = np.concatenate(
+            [qs[q.top_segments(params.num_query_segments)]
+             for q, qs in zip(queries, sketches)],
+            axis=0,
+        )
+        scan = p.scan_topk(stacked, k=5)
     # Bit-identical selection including order at tied distances.
-    np.testing.assert_array_equal(
-        raw["ThreadFilterPool"][0], raw["ParallelFilterPool"][0]
-    )
-    np.testing.assert_array_equal(
-        raw["ThreadFilterPool"][1], raw["ParallelFilterPool"][1]
-    )
+    want_d, want_rows = _serial_topk(store, stacked, 5)
+    np.testing.assert_array_equal(scan.dists, want_d)
+    np.testing.assert_array_equal(scan.rows, want_rows)
+    np.testing.assert_array_equal(scan.owners, store.owners[want_rows])
 
 
 def test_empty_shards_more_workers_than_rows():
@@ -132,34 +138,12 @@ def test_empty_shards_more_workers_than_rows():
     sketches = [sk.sketch_many(q.features) for q in queries]
     params = PARAMS_VARIANTS[0]
     serial = sketch_filter_many(queries, sketches, store, params, sk.n_bits)
-    for cls in (ThreadFilterPool, ParallelFilterPool):
-        with cls(num_workers=6) as p:
-            _load_pool(p, store)
-            assert parallel_sketch_filter_many(
-                queries, sketches, params, sk.n_bits, p
-            ) == serial, cls.__name__
-
-
-def test_thread_pool_matches_under_spawn_process_pool():
-    """Thread results equal a spawn-start-method process pool's."""
-    import multiprocessing
-
-    if "spawn" not in multiprocessing.get_all_start_methods():
-        pytest.skip("spawn start method unavailable")
-    sk, store, objects = _seeded_store(77, tombstones=(1, 2))
-    queries = [objects[0], objects[9]]
-    sketches = [sk.sketch_many(q.features) for q in queries]
-    params = PARAMS_VARIANTS[1]
-    with ThreadFilterPool(num_workers=2) as tp, ParallelFilterPool(
-        num_workers=2, start_method="spawn"
-    ) as pp:
-        _load_pool(tp, store)
-        _load_pool(pp, store)
-        assert parallel_sketch_filter_many(
-            queries, sketches, params, sk.n_bits, tp
-        ) == parallel_sketch_filter_many(
-            queries, sketches, params, sk.n_bits, pp
+    with ThreadFilterPool(num_workers=6) as p:
+        _load_pool(p, store)
+        got, _epoch = parallel_filter_candidates(
+            queries, sketches, params, sk.n_bits, p
         )
+        assert got == serial
 
 
 def test_thread_pool_copies_arena():
@@ -174,10 +158,56 @@ def test_thread_pool_copies_arena():
         owners[:] = -1  # simulate remove_object tombstoning in place
         sketches[:] = 0
         assert pool.n_alive == 8
-        d, rows = pool.scan_topk(np.zeros((1, 2), dtype=np.uint64), 8)
+        scan = pool.scan_topk(np.zeros((1, 2), dtype=np.uint64), 8)
         # All 8 rows still alive and distances reflect the original data.
-        assert rows.shape == (1, 8)
-        assert pool.owners_of(rows[0]).min() >= 0
+        assert scan.rows.shape == (1, 8)
+        assert scan.owners.min() >= 0
+
+
+def test_scans_racing_reloads_never_mix_arenas():
+    """Scans concurrent with full reloads between two arenas: every
+    answer's owners must belong to the arena its epoch names."""
+    import sys
+
+    sk, store, _objects = _seeded_store(12, num_objects=60, segs=3)
+    _epoch, owners, sketches = store.versioned_snapshot()
+    arenas = {1: owners, 2: owners + 5000}
+    query = np.zeros((2, sk.n_words), dtype=np.uint64)
+    pool = ThreadFilterPool(num_workers=3)
+    pool.load(arenas[1], sketches, epoch=1)
+    bad, finished, done = [], [], threading.Event()
+
+    def reloader():
+        epoch = 1
+        while not done.is_set():
+            epoch = 3 - epoch
+            pool.load(arenas[epoch], sketches, epoch=epoch)
+
+    def scanner():
+        for _ in range(200):
+            scan = pool.scan_topk(query, 10)
+            if not np.isin(scan.owners, arenas[scan.epoch]).all():
+                bad.append(scan.epoch)
+        finished.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with pool:
+            loader = threading.Thread(target=reloader)
+            scanners = [threading.Thread(target=scanner) for _ in range(4)]
+            loader.start()
+            for t in scanners:
+                t.start()
+            for t in scanners:
+                t.join(timeout=60)
+            done.set()
+            loader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not loader.is_alive()
+    assert not any(t.is_alive() for t in scanners)
+    assert len(finished) == len(scanners) and not bad
 
 
 def test_thread_pool_teardown_under_load():
@@ -186,11 +216,10 @@ def test_thread_pool_teardown_under_load():
     wrong answer, never a foreign exception."""
     sk, store, objects = _seeded_store(11, num_objects=80, segs=3)
     epoch, owners, sketches = store.versioned_snapshot()
-    expect_rows = None
     query = np.zeros((2, sk.n_words), dtype=np.uint64)
     pool = ThreadFilterPool(num_workers=3)
     pool.load(owners, sketches, epoch=epoch)
-    expect_d, expect_rows = pool.scan_topk(query, 12)
+    expect = pool.scan_topk(query, 12)
     errors, mismatches = [], []
     start = threading.Barrier(5)
 
@@ -198,7 +227,7 @@ def test_thread_pool_teardown_under_load():
         start.wait()
         for _ in range(25):
             try:
-                d, rows = pool.scan_topk(query, 12)
+                scan = pool.scan_topk(query, 12)
             except ParallelScanError as exc:
                 if exc.kind != "closed":
                     errors.append(exc)
@@ -207,10 +236,10 @@ def test_thread_pool_teardown_under_load():
                 errors.append(exc)
                 return
             if not (
-                np.array_equal(d, expect_d)
-                and np.array_equal(rows, expect_rows)
+                np.array_equal(scan.dists, expect.dists)
+                and np.array_equal(scan.rows, expect.rows)
             ):
-                mismatches.append((d, rows))
+                mismatches.append(scan)
                 return
 
     threads = [threading.Thread(target=hammer) for _ in range(4)]
@@ -232,7 +261,7 @@ def test_thread_pool_teardown_under_load():
 class TestChooseBackend:
     def test_disabled_is_serial(self):
         cfg = ParallelConfig(enabled=False, num_workers=8, min_segments=1)
-        assert choose_backend(cfg, n_rows=10**6, batch_rows=64) == "serial"
+        assert choose_backend(cfg, n_rows=10**6) == "serial"
 
     def test_single_core_is_serial(self):
         cfg = ParallelConfig(min_segments=1)
@@ -243,7 +272,7 @@ class TestChooseBackend:
         assert choose_backend(cfg, n_rows=49_999) == "serial"
 
     def test_explicit_backend_wins(self):
-        for name in ("serial", "thread", "process"):
+        for name in ("serial", "thread"):
             cfg = ParallelConfig(num_workers=4, min_segments=1, backend=name)
             assert choose_backend(cfg, n_rows=10) == name
 
@@ -251,72 +280,30 @@ class TestChooseBackend:
         if not hamming_kernel_releases_gil():
             pytest.skip("LUT popcount build: thread backend not preferred")
         cfg = ParallelConfig(num_workers=4, min_segments=1)
-        assert choose_backend(cfg, n_rows=100_000, batch_rows=8) == "thread"
+        assert choose_backend(cfg, n_rows=100_000) == "thread"
+
+    def test_auto_without_gil_releasing_kernel_is_serial(self, monkeypatch):
+        # A LUT-popcount build holds the GIL for the whole scan: threads
+        # would serialize on it, so auto keeps the serial scan.
+        monkeypatch.setattr(
+            "repro.core.parallel.hamming_kernel_releases_gil", lambda: False
+        )
+        cfg = ParallelConfig(num_workers=4, min_segments=1)
+        assert choose_backend(cfg, n_rows=2_000_000) == "serial"
 
     def test_explicit_worker_count_implies_cores(self):
         # num_workers is an operator statement that parallelism exists:
         # the model must not fall back to the (possibly 1-core) host
         # affinity mask.
+        if not hamming_kernel_releases_gil():
+            pytest.skip("LUT popcount build: auto never picks a pool")
         cfg = ParallelConfig(num_workers=2, min_segments=1)
-        # Enough work that both the thread and the process branch
-        # qualify — the pick must be parallel on any popcount build.
-        assert choose_backend(cfg, n_rows=2_000_000, batch_rows=4) != "serial"
+        assert choose_backend(cfg, n_rows=2_000_000) == "thread"
 
     def test_unknown_backend_rejected_at_config(self):
-        with pytest.raises(ValueError):
-            ParallelConfig(backend="gpu")
-
-    def test_make_pool_backends(self):
-        assert isinstance(make_pool("thread", num_workers=1), ThreadFilterPool)
-        p = make_pool("process", num_workers=1)
-        assert isinstance(p, ParallelFilterPool)
-        p.close()
-        with pytest.raises(ValueError):
-            make_pool("auto")
-        with pytest.raises(ValueError):
-            make_pool("serial")
-
-
-# ----------------------------------------------------------------------
-# Batched dispatch accounting
-# ----------------------------------------------------------------------
-def test_one_dispatch_round_trip_per_worker_per_batch():
-    """A whole batch costs exactly num_workers round trips — independent
-    of how many queries it stacks — and never more than the shard count."""
-    sk, store, objects = _seeded_store(3, num_objects=60, segs=3)
-    queries = [objects[i] for i in (0, 5, 10, 15, 20, 25)]
-    sketches = [sk.sketch_many(q.features) for q in queries]
-    params = FilterParams(num_query_segments=3, candidates_per_segment=8)
-    with ParallelFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        before = _value("parallel.dispatch_round_trips")
-        parallel_sketch_filter_many(queries, sketches, params, sk.n_bits, p)
-        trips = _value("parallel.dispatch_round_trips") - before
-        assert trips == 2  # one fused message per worker, 6 queries
-        assert trips <= p.n_shards
-
-
-def test_thread_pool_books_no_dispatch_round_trips():
-    sk, store, objects = _seeded_store(3, num_objects=30)
-    with ThreadFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        before = _value("parallel.dispatch_round_trips")
-        p.scan_topk(np.zeros((1, sk.n_words), dtype=np.uint64), 4)
-        assert _value("parallel.dispatch_round_trips") == before
-
-
-# ----------------------------------------------------------------------
-# Worker crash classification
-# ----------------------------------------------------------------------
-def test_killed_worker_raises_crash_kind():
-    sk, store, objects = _seeded_store(9, num_objects=30)
-    with ParallelFilterPool(num_workers=2) as p:
-        _load_pool(p, store)
-        p._workers[0][0].kill()
-        p._workers[0][0].join(timeout=5.0)
-        with pytest.raises(ParallelScanError) as exc_info:
-            p.scan_topk(np.zeros((1, sk.n_words), dtype=np.uint64), 4)
-        assert exc_info.value.kind == "crash"
+        for name in ("gpu", "process"):
+            with pytest.raises(ValueError):
+                ParallelConfig(backend=name)
 
 
 def _image_engine(parallel, n=60):
@@ -334,32 +321,12 @@ def _image_engine(parallel, n=60):
     return engine
 
 
-def test_engine_degrades_serially_on_worker_kill():
-    """A worker killed mid-service degrades the engine to the serial
-    scan with identical results and books the crash under
-    ``errors_absorbed.parallel_worker_crash``."""
-    cfg = ParallelConfig(
-        num_workers=2, min_segments=1, backend="process", cache_entries=0
-    )
-    with _image_engine(cfg) as engine:
-        expect = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        info = engine.parallel_info()
-        assert info["active"] and info["backend_active"] == "process"
-        engine._pool._workers[0][0].kill()
-        engine._pool._workers[0][0].join(timeout=5.0)
-        before = _value("errors_absorbed.parallel_worker_crash")
-        got = [r.object_id for r in engine.query_by_id(1, top_k=5)]
-        assert got == expect  # serial fallback, identical answer
-        assert _value("errors_absorbed.parallel_worker_crash") == before + 1
-        assert engine.parallel_info()["broken"]
-
-
 # ----------------------------------------------------------------------
 # Engine-level backend selection
 # ----------------------------------------------------------------------
 def test_engine_backend_switch_and_exclude_self_equivalence():
-    """Results (with exclude_self) are identical across all three
-    backends, live-switched through set_parallel_backend."""
+    """Results (with exclude_self) are identical across every backend
+    setting, live-switched through set_parallel_backend."""
     serial_engine = _image_engine(ParallelConfig(enabled=False))
     engine = _image_engine(
         ParallelConfig(num_workers=2, min_segments=1, cache_entries=0)
@@ -369,7 +336,7 @@ def test_engine_backend_switch_and_exclude_self_equivalence():
             (r.object_id, r.distance)
             for r in serial_engine.query_by_id(2, top_k=6)
         ]
-        for backend in ("thread", "process", "serial", "auto"):
+        for backend in ("thread", "serial", "auto"):
             engine.set_parallel_backend(backend)
             got = [
                 (r.object_id, r.distance)
@@ -378,12 +345,11 @@ def test_engine_backend_switch_and_exclude_self_equivalence():
             assert got == want, backend
             info = engine.parallel_info()
             assert info["backend"] == backend
-            if backend in ("thread", "process"):
+            if backend != "auto":
                 assert info["backend_active"] == backend
-            elif backend == "serial":
-                assert info["backend_active"] == "serial"
-        with pytest.raises(ValueError):
-            engine.set_parallel_backend("gpu")
+        for bad in ("gpu", "process"):
+            with pytest.raises(ValueError):
+                engine.set_parallel_backend(bad)
 
 
 def test_engine_auto_picks_thread_backend():
@@ -396,6 +362,51 @@ def test_engine_auto_picks_thread_backend():
         assert info["backend"] == "auto"
         assert info["backend_active"] == "thread"
         assert isinstance(engine._pool, ThreadFilterPool)
+
+
+# ----------------------------------------------------------------------
+# Per-worker trace spans
+# ----------------------------------------------------------------------
+class TestPerShardSpans:
+    def test_scan_attaches_one_span_per_worker(self):
+        sk, store, _objects = _seeded_store(4, num_objects=20)
+        trace = QueryTrace("filtering")
+        with ThreadFilterPool(num_workers=2) as pool:
+            _load_pool(pool, store)
+            pool.scan_topk(
+                np.zeros((2, sk.n_words), dtype=np.uint64), 4, trace=trace
+            )
+        assert [s["name"] for s in trace.spans] == ["worker.0", "worker.1"]
+        assert all(s["scan"] >= 0.0 for s in trace.spans)
+        assert any(
+            l.startswith("span.worker.0.scan_seconds ") for l in trace.lines()
+        )
+
+    def test_no_trace_no_spans_overhead(self):
+        sk, store, _objects = _seeded_store(4, num_objects=20)
+        with ThreadFilterPool(num_workers=2) as pool:
+            _load_pool(pool, store)
+            scan = pool.scan_topk(np.zeros((1, sk.n_words), dtype=np.uint64), 4)
+        assert scan.dists.shape == (1, 4)  # scan unaffected without a trace
+
+    def test_engine_query_produces_spans(self):
+        cfg = ParallelConfig(
+            num_workers=2, min_segments=1, backend="thread", cache_entries=0
+        )
+        with _image_engine(cfg, n=30) as engine:
+            engine.tracer.set_enabled(True)
+            engine.query_by_id(0, top_k=3)
+            trace = engine.tracer.last
+            assert trace is not None
+            assert trace.notes.get("scan") == "parallel"
+            worker_spans = {
+                s["name"] for s in trace.spans
+                if str(s["name"]).startswith("worker.")
+            }
+            assert worker_spans == {"worker.0", "worker.1"}
+            # The ranking cascade contributes its own span alongside the
+            # per-worker scan spans.
+            assert any(s["name"] == "rank" for s in trace.spans)
 
 
 # ----------------------------------------------------------------------

@@ -131,3 +131,39 @@ class TestOptimality:
         result = solve_transport(supply, demand, costs)
         expected = scipy_transport_cost(supply, demand, costs)
         assert result.cost == pytest.approx(expected)
+
+
+class TestPivotCap:
+    """A solve stopped by the pivot cap with an improving pivot left
+    must show up as ``transport.pivot_cap_hits``."""
+
+    # Vogel's start on this problem is one pivot short of optimal.
+    COSTS = np.array([[9.0, 8.0, 10.0], [16.0, 16.0, 12.0], [14.0, 19.0, 13.0]])
+    SUPPLY = np.array([4.0, 1.0, 5.0])
+    DEMAND = np.array([3.0, 6.0, 1.0])
+
+    @staticmethod
+    def _cap_hits():
+        from repro.observability import metrics
+
+        return metrics.get_registry().value("transport.pivot_cap_hits")
+
+    def test_optimal_solve_does_not_count(self):
+        before = self._cap_hits()
+        result = solve_transport(self.SUPPLY, self.DEMAND, self.COSTS)
+        assert result.iterations == 1
+        assert result.cost == pytest.approx(
+            scipy_transport_cost(self.SUPPLY, self.DEMAND, self.COSTS)
+        )
+        assert self._cap_hits() == before
+
+    def test_cap_hit_counts(self, monkeypatch):
+        import repro.core.transport as transport
+
+        optimum = scipy_transport_cost(self.SUPPLY, self.DEMAND, self.COSTS)
+        monkeypatch.setattr(transport, "_MAX_PIVOTS_FACTOR", 0)
+        before = self._cap_hits()
+        result = solve_transport(self.SUPPLY, self.DEMAND, self.COSTS)
+        assert result.iterations == 0
+        assert result.cost > optimum + 1e-9  # the capped flow is suboptimal
+        assert self._cap_hits() == before + 1

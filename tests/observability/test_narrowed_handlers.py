@@ -140,7 +140,7 @@ def _filtering_engine():
 class TestEnginePoolNarrowing:
     def test_pool_failure_falls_back_and_counts(self, monkeypatch):
         engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda backend: _DummyPool())
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
 
         def boom(*a, **k):
             raise ParallelScanError("worker died")
@@ -158,7 +158,7 @@ class TestEnginePoolNarrowing:
 
     def test_foreign_exception_propagates(self, monkeypatch):
         engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda backend: _DummyPool())
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
 
         def boom(*a, **k):
             raise TypeError("scan bug")
@@ -171,7 +171,7 @@ class TestEnginePoolNarrowing:
         """The fallback callback is no longer swallowed: a broken
         observer is a caller bug and must raise, not vanish."""
         engine = _filtering_engine()
-        monkeypatch.setattr(engine, "_ensure_pool", lambda backend: _DummyPool())
+        monkeypatch.setattr(engine, "_ensure_pool", lambda: _DummyPool())
 
         def boom(*a, **k):
             raise ParallelScanError("worker died")
