@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -50,6 +51,23 @@ def write_json(name: str, payload: dict) -> None:
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"wrote {path}")
+
+
+def host_facts() -> dict:
+    """The facts a timing depends on: effective cores (affinity mask),
+    machine and the Python/numpy/scipy versions."""
+    import numpy
+    import scipy
+
+    from repro.core import available_cores
+
+    return {
+        "effective_cores": available_cores(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
 
 
 def build_engine(plugin, n_bits, filter_params=None, seed=0):

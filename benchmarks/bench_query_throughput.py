@@ -49,7 +49,14 @@ from repro.core import bitvector
 from repro.datatypes.bulk import bulk_image_dataset
 from repro.observability import metrics as obs_metrics
 
-from bench_common import QUICK, build_engine, scaled, write_json, write_result
+from bench_common import (
+    QUICK,
+    build_engine,
+    host_facts,
+    scaled,
+    write_json,
+    write_result,
+)
 
 N_BITS = 256
 
@@ -268,10 +275,12 @@ def test_query_throughput():
     metrics_off_qps = len(overhead_queries) / best_off
     metrics_overhead = (best_on - best_off) / best_off
 
+    host = host_facts()
     lines = [
         "# Query throughput: batched Hamming kernel + multi-query pipeline",
         f"# {num_objects} objects, {engine.stats().num_segments} segments, "
         f"r=4, k=32, {N_BITS}-bit sketches, {num_queries} queries",
+        "# host: " + ", ".join(f"{k} {v}" for k, v in host.items()),
         "",
         "## Filtering scan (candidate generation, per query)",
         f"seed per-segment scan (LUT popcount)   {ref_latency * 1e3:10.3f} ms",
@@ -310,6 +319,7 @@ def test_query_throughput():
     ]
     write_result("query_throughput", lines)
     write_json("query_throughput", {
+        "host": host,
         "num_objects": num_objects,
         "num_segments": engine.stats().num_segments,
         "n_bits": N_BITS,

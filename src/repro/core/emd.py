@@ -286,9 +286,10 @@ def emd_to_many(
     )
 
 
-def _shave(bound: float) -> float:
-    """Apply the float-safety margin; bounds never go negative."""
-    return max(0.0, bound * (1.0 - _BOUND_SAFETY_REL) - _BOUND_SAFETY_ABS)
+def _shave(bound):
+    """Apply the float-safety margin (elementwise on arrays); bounds never
+    go negative."""
+    return np.maximum(0.0, bound * (1.0 - _BOUND_SAFETY_REL) - _BOUND_SAFETY_ABS)
 
 
 def emd_lower_bound_centroid(
@@ -322,13 +323,15 @@ def emd_lower_bound_centroid(
     demand = demand * (total_s / total_d)
     q_centroid = supply @ np.atleast_2d(query.features)
     c_centroid = demand @ np.atleast_2d(candidate.features)
-    return _shave(float(np.abs(q_centroid - c_centroid).sum()))
+    return float(_shave(np.abs(q_centroid - c_centroid).sum()))
 
 
-def rowcol_bound_from_costs(
-    costs: np.ndarray, supply: np.ndarray, demand: np.ndarray
-) -> float:
-    """Row/column-minima lower bound given an already-built cost matrix.
+def rowcol_bounds_from_costs(
+    matrices: Sequence[np.ndarray],
+    supply: np.ndarray,
+    demands: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Row/column-minima lower bounds given already-built cost matrices.
 
     Every feasible flow ships ``supply_i`` out of row ``i`` at per-unit
     cost at least ``min_j costs[i, j]`` (and symmetrically for columns),
@@ -336,16 +339,29 @@ def rowcol_bound_from_costs(
     optimal cost of *that* matrix.  Because it is computed on the final
     (thresholded) costs, it is valid for every :class:`EMDParams`
     configuration, including custom grounds.
+
+    ``matrices[i]`` is ``(m, n_i)`` with column weights ``demands[i]``;
+    all share one ``supply``.  The bounds of every matrix come from one
+    pass over their column-wise concatenation, so the ranking cascade
+    pays a few array operations per query rather than per candidate.
     """
     supply = np.asarray(supply, dtype=np.float64)
-    demand = np.asarray(demand, dtype=np.float64)
+    bounds = np.zeros(len(matrices))
+    sizes = np.array([c.shape[1] for c in matrices], dtype=np.intp)
     total_s = float(supply.sum())
-    total_d = float(demand.sum())
-    if total_s <= 0.0 or total_d <= 0.0 or costs.size == 0:
-        return 0.0
-    row_bound = float(supply @ costs.min(axis=1))
-    col_bound = float(demand @ costs.min(axis=0)) * (total_s / total_d)
-    return _shave(max(row_bound, col_bound))
+    nonempty = sizes > 0
+    if total_s <= 0.0 or supply.size == 0 or not nonempty.any():
+        return bounds
+    starts = (np.cumsum(sizes) - sizes)[nonempty]  # empty matrices add no columns
+    costs = np.concatenate(matrices, axis=1)
+    demand = np.concatenate([np.asarray(d, dtype=np.float64) for d in demands])
+    total_d = np.add.reduceat(demand, starts)
+    row_bound = supply @ np.minimum.reduceat(costs, starts, axis=1)
+    col_bound = np.add.reduceat(demand * costs.min(axis=0), starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.maximum(row_bound, col_bound * (total_s / total_d))
+    bounds[nonempty] = np.where(total_d > 0.0, _shave(bound), 0.0)
+    return bounds
 
 
 def emd_lower_bound_rowcol(
@@ -368,11 +384,11 @@ def emd_lower_bound_rowcol(
                 object_id=candidate.object_id,
             )
         )
-    return rowcol_bound_from_costs(
-        costs,
+    return float(rowcol_bounds_from_costs(
+        [costs],
         params.effective_weights(query.weights),
-        params.effective_weights(candidate.weights),
-    )
+        [params.effective_weights(candidate.weights)],
+    )[0])
 
 
 class EMDDistance:

@@ -38,7 +38,7 @@ from .emd import (
     EMDDistance,
     emd_lower_bound_centroid,
     packed_cost_matrices,
-    rowcol_bound_from_costs,
+    rowcol_bounds_from_costs,
 )
 from .transport import solve_transport
 from .types import ObjectSignature
@@ -267,18 +267,16 @@ def rank_candidates_many(
     supply = emd_params.effective_weights(query.weights)
     demands = [emd_params.effective_weights(c.weights) for c in sigs]
 
+    rowcol = (
+        rowcol_bounds_from_costs(matrices, supply, demands).tolist()
+        if params.rowcol_bound
+        else [0.0] * len(sigs)
+    )
     order: List[Tuple[float, int]] = []  # (lower_bound, position)
     for pos, candidate in enumerate(sigs):
-        lb = 0.0
+        lb = rowcol[pos]
         if params.centroid_bound:
-            lb = emd_lower_bound_centroid(query, candidate, emd_params)
-        if params.rowcol_bound:
-            lb = max(
-                lb,
-                rowcol_bound_from_costs(
-                    matrices[pos], supply, demands[pos]
-                ),
-            )
+            lb = max(emd_lower_bound_centroid(query, candidate, emd_params), lb)
         order.append((lb, pos))
     # Ascending (bound, object_id): cheap-looking candidates first so the
     # k-th distance tightens fast; id tie-break keeps the visit order —

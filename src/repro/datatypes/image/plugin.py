@@ -15,7 +15,6 @@ from typing import Optional
 
 import numpy as np
 
-from ...core.distance import weighted_l1_to_many
 from ...core.emd import EMDParams
 from ...core.plugin import DataTypePlugin
 from ...core.types import FeatureMeta, ObjectSignature
@@ -54,9 +53,11 @@ def make_image_plugin(
         return float(np.abs(a - b).dot(dim_weights))
 
     def ground(queries: np.ndarray, database: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [weighted_l1_to_many(q, database, dim_weights) for q in queries]
-        )
+        # Every (query, database) segment pair in one broadcast and one
+        # matrix-vector product: the ranking calls this once per candidate.
+        m, n = len(queries), len(database)
+        diff = np.abs(database[None, :, :] - queries[:, None, :])
+        return diff.reshape(m * n, -1).dot(dim_weights).reshape(m, n)
 
     params = EMDParams(
         threshold=emd_threshold,

@@ -35,6 +35,7 @@ from repro.core import (
     rank_candidates_many,
 )
 from repro.core.distance import weighted_l1_to_many
+from repro.core.emd import rowcol_bounds_from_costs
 from repro.observability import metrics as obs_metrics
 
 # One ulp-scale tolerance: the bounds carry their own float-safety
@@ -108,6 +109,25 @@ class TestLowerBounds:
         for params in _param_configs():
             exact = emd(q, dup, params)
             assert emd_lower_bound_rowcol(q, dup, params) <= exact + TOL
+
+
+    def test_batched_rowcol_bounds_match_per_matrix(self):
+        # One pass over many matrices, including an empty one and a
+        # zero-mass candidate, gives each matrix its own shaved bound.
+        rng = np.random.default_rng(11)
+        supply = rng.random(4) + 0.1
+        matrices = [rng.random((4, n)) for n in (3, 0, 1, 5, 2)]
+        demands = [rng.random(c.shape[1]) + 0.1 for c in matrices]
+        demands[3][:] = 0.0
+        got = rowcol_bounds_from_costs(matrices, supply, demands)
+        assert got.shape == (5,)
+        assert got[1] == 0.0 and got[3] == 0.0
+        for pos in (0, 2, 4):
+            costs, demand = matrices[pos], demands[pos]
+            rows = supply @ costs.min(axis=1)
+            cols = demand @ costs.min(axis=0) * (supply.sum() / demand.sum())
+            assert got[pos] == pytest.approx(max(rows, cols), rel=1e-8)
+            assert got[pos] < max(rows, cols)  # the safety shave
 
 
 class TestEmdToMany:
